@@ -39,14 +39,13 @@ var laneWeights schedule.LaneWeights
 var hedgeDelay time.Duration
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4, 5, 6, 7, 8, 9, ablations, registry, pipeline, transport, codec, refresh, overload, wan, federation, recovery, partition or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 4, 5, 6, 7, 8, 9, ablations, registry, pipeline, transport, codec, overload, wan, federation, recovery, partition or all")
 	quick := flag.Bool("quick", false, "reduced scale for a fast run")
 	laneSpec := flag.String("lane-weights", "", "lane weight spec for the overload figure, e.g. lease=4,bulk=1 (default from schedule)")
 	regBackend := flag.String("registry-backend", "", "white-pages engine for the figure experiments: sharded or locked (default sharded)")
 	regShards := flag.Int("registry-shards", 0, "shard count for the sharded backend (0: GOMAXPROCS-scaled)")
 	poolEngine := flag.String("pool-engine", "", "pool allocation engine: indexed or oracle (default indexed; ScanCost figures stay on oracle)")
-	refreshMode := flag.String("refresh-mode", "", "pool freshness mode for the figure experiments: events or poll (the refresh figure sweeps both regardless)")
-	wireCodec := flag.String("wire-codec", "", "wire codec preference for the transport figure: auto, binary or json (the codec figure sweeps both regardless)")
+	wireCodec := flag.String("wire-codec", "", "wire codec preference for the transport figure: auto, binary2 or json (the codec figure sweeps both regardless)")
 	hedge := flag.Duration("hedge-delay", 0, "fan-out stagger for the federation figure, e.g. 10ms (0 races the full width at once)")
 	jsonOut := flag.String("json", "", "also write BENCH_<figure>.json files into this directory")
 	flag.Parse()
@@ -55,9 +54,6 @@ func main() {
 		log.Fatalf("actyp-bench: %v", err)
 	}
 	if err := experiments.UsePoolEngine(*poolEngine); err != nil {
-		log.Fatalf("actyp-bench: %v", err)
-	}
-	if err := experiments.UseRefreshMode(*refreshMode); err != nil {
 		log.Fatalf("actyp-bench: %v", err)
 	}
 	if err := experiments.UseWireCodec(*wireCodec); err != nil {
@@ -93,7 +89,6 @@ func main() {
 	run("pipeline", figPipeline)
 	run("transport", figTransport)
 	run("codec", figCodec)
-	run("refresh", figRefresh)
 	run("overload", figOverload)
 	run("wan", figWan)
 	run("federation", figFederation)
@@ -195,23 +190,6 @@ func figCodec(quick bool) error {
 	}
 	return emit("codec_frames", "Codec: encode+decode round trips vs request payload size, per wire codec",
 		"payload pad (bytes)", "frames/s", frames)
-}
-
-// figRefresh sweeps allocate-latency p99 under sustained monitor sweeps
-// across fleet sizes, comparing poll-mode full cache rebuilds against the
-// event-driven incremental refresh.
-func figRefresh(quick bool) error {
-	cfg := experiments.DefaultRefreshScale()
-	if quick {
-		cfg.Sizes = []int{1000, 5000}
-		cfg.OpsPerClient = 25
-	}
-	series, err := experiments.RefreshScale(cfg)
-	if err != nil {
-		return err
-	}
-	return emit("refresh", "Refresh: allocate p99 under sustained monitor sweeps, per freshness mode",
-		"machines", "p99 op (s)", series)
 }
 
 // figOverload drives one shared connection with control pings plus a

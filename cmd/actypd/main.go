@@ -57,7 +57,6 @@ type daemonConfig struct {
 	regBackend  string
 	regShards   int
 	poolEngine  string
-	refreshMode string
 	connWindow  int
 	wireCodec   string
 	laneWeights string
@@ -99,9 +98,8 @@ func main() {
 	flag.StringVar(&cfg.regBackend, "registry-backend", registry.BackendSharded, "white-pages storage engine: sharded or locked")
 	flag.IntVar(&cfg.regShards, "registry-shards", 0, "shard count for the sharded backend (0: GOMAXPROCS-scaled)")
 	flag.StringVar(&cfg.poolEngine, "pool-engine", "", "pool allocation engine: indexed or oracle (default indexed; -scancost pools stay on oracle)")
-	flag.StringVar(&cfg.refreshMode, "refresh-mode", "", "pool freshness mode: events (registry change stream, default) or poll (timer-driven full refresh)")
 	flag.IntVar(&cfg.connWindow, "conn-window", wire.DefaultWindow, "per-connection in-flight request window (1 serializes each connection)")
-	flag.StringVar(&cfg.wireCodec, "wire-codec", "auto", "wire codec preference: auto (negotiate, binary preferred), binary, json, a compressed variant like binary2+flate, or a comma list")
+	flag.StringVar(&cfg.wireCodec, "wire-codec", "auto", "wire codec preference: auto (negotiate, binary2 preferred), binary2, json, a compressed variant like binary2+flate, or a comma list")
 	flag.StringVar(&cfg.laneWeights, "lane-weights", "lease=4,bulk=1", "priority-lane round-robin weights for overloaded dispatch, e.g. lease=4,bulk=1 (control is always first); \"off\" restores plain FIFO dispatch")
 	flag.Float64Var(&cfg.admitRate, "admit-rate", 0, "default per-account admission rate in requests/s; over-limit requests are shed with Busy (0 disables admission)")
 	flag.Float64Var(&cfg.admitBurst, "admit-burst", 0, "default admission burst capacity in tokens (0: same as -admit-rate)")
@@ -116,7 +114,7 @@ func main() {
 	flag.StringVar(&cfg.peerAddrs, "peer-addrs", "", "comma-separated stage endpoints of federation peers; local misses delegate to them")
 	flag.IntVar(&cfg.fanout, "fanout", 0, "peer delegation width: peers contacted concurrently on a local miss (<=1 keeps the serial walk)")
 	flag.DurationVar(&cfg.hedgeDelay, "hedge-delay", 0, "stagger between delegation fan-out branches, e.g. 10ms (0 races the full width at once)")
-	flag.StringVar(&cfg.remoteWatch, "remote-watch", "", "mirror remote actypd registries into the local white pages over the wire watch stream: comma-separated addr[=domain] entries, where =domain subscribes only that domain's slice (typically with -machines 0; falls back to polling against pre-watch peers)")
+	flag.StringVar(&cfg.remoteWatch, "remote-watch", "", "mirror remote actypd registries into the local white pages over the wire watch stream: comma-separated addr[=domain] entries, where =domain subscribes only that domain's slice (typically with -machines 0)")
 	flag.StringVar(&cfg.ownDomains, "own-domains", "", "enable domain partitioning: comma-separated static assignments, each \"domain\" (owned here) or \"domain=node\"; unlisted domains rendezvous-hash over this node and -peer-addrs peers (\"auto\" enables with no static pins)")
 	flag.StringVar(&cfg.nodeName, "node-name", "", "pool-manager name prefix; federated daemons need distinct names (the delegation visited list keys on them) — defaults to pm, or pm@<addr> when -stage-addr or -peer-addrs is set")
 	flag.StringVar(&cfg.journalDir, "journal-dir", "", "durability journal directory: registry events and lease transitions are logged there, replayed on boot, and compacted by snapshots (empty disables durability)")
@@ -153,9 +151,6 @@ func run(cfg daemonConfig) error {
 	}
 	codecs, err := wire.ParseCodecs(cfg.wireCodec)
 	if err != nil {
-		return err
-	}
-	if err := core.ValidateRefreshMode(cfg.refreshMode); err != nil {
 		return err
 	}
 	// Manager names must be unique across a federation mesh (the visited
@@ -305,7 +300,6 @@ func run(cfg daemonConfig) error {
 		MonitorInterval: cfg.monitor,
 		LeaseTTL:        cfg.leaseTTL,
 		PoolEngine:      cfg.poolEngine,
-		RefreshMode:     cfg.refreshMode,
 		Fanout:          cfg.fanout,
 		HedgeDelay:      cfg.hedgeDelay,
 		FederationStats: fedStats,
@@ -323,7 +317,6 @@ func run(cfg daemonConfig) error {
 		return err
 	}
 	defer svc.Close()
-	log.Printf("actypd: pool freshness in %s mode", svc.RefreshMode())
 
 	// Crash recovery: re-adopt the replayed leases into rebuilt pools
 	// before the listener opens. No probe is injected — renewals are the

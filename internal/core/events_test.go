@@ -1,53 +1,26 @@
 package core
 
 import (
-	"flag"
-	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	"actyp/internal/registry"
 )
 
-// -refresh-default-mode forces the package-default freshness mode for the
-// whole test run, mirroring the wire package's per-codec matrix. CI runs
-// the suite once per mode:
-//
-//	go test -race ./internal/core -refresh-default-mode=events
-//	go test -race ./internal/core -refresh-default-mode=poll
-var defaultRefreshModeFlag = flag.String("refresh-default-mode", "",
-	"force the package-default refresh mode for this test run (poll or events)")
-
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if *defaultRefreshModeFlag != "" {
-		if err := ValidateRefreshMode(*defaultRefreshModeFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "bad -refresh-default-mode: %v\n", err)
-			os.Exit(2)
-		}
-		defaultRefreshMode = *defaultRefreshModeFlag
-	}
-	os.Exit(m.Run())
-}
-
-// TestEventDispatchFoldsMonitorUpdates is the events-mode counterpart of
-// TestRefreshLoopFoldsMonitorUpdates: no refresh timer at all — the
-// monitor's write must reach the pool's scheduling decision through the
+// TestEventDispatchFoldsMonitorUpdates verifies the self-optimizing loop
+// end to end with no refresh timer at all: the monitor's write to the
+// white pages must reach the pool's scheduling decision through the
 // change-stream dispatcher alone.
 func TestEventDispatchFoldsMonitorUpdates(t *testing.T) {
 	db := registry.NewDB()
 	if err := registry.HomogeneousFleetSpec(2).Populate(db, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Options{DB: db, RefreshMode: RefreshEvents})
+	svc, err := New(Options{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if svc.RefreshMode() != RefreshEvents || svc.Events() == nil {
-		t.Fatalf("mode=%q events=%v", svc.RefreshMode(), svc.Events())
-	}
 	if err := svc.Precreate("punch.rsrc.arch = sun"); err != nil {
 		t.Fatal(err)
 	}
@@ -85,28 +58,6 @@ func TestEventDispatchFoldsMonitorUpdates(t *testing.T) {
 	}
 }
 
-// TestRefreshModeValidation pins flag-level failure on bad modes.
-func TestRefreshModeValidation(t *testing.T) {
-	if err := ValidateRefreshMode("bogus"); err == nil {
-		t.Error("bogus mode accepted")
-	}
-	db := registry.NewDB()
-	if err := registry.HomogeneousFleetSpec(2).Populate(db, time.Unix(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Options{DB: db, RefreshMode: "bogus"}); err == nil {
-		t.Error("New accepted a bogus refresh mode")
-	}
-	svc, err := New(Options{DB: db, RefreshMode: RefreshPoll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if svc.Events() != nil {
-		t.Error("poll mode built a dispatcher")
-	}
-}
-
 // TestSplitReplicaResubscribe: split children and replicas take over the
 // parent's change-stream subscription across the admin swap.
 func TestSplitReplicaResubscribe(t *testing.T) {
@@ -114,7 +65,7 @@ func TestSplitReplicaResubscribe(t *testing.T) {
 	if err := registry.HomogeneousFleetSpec(8).Populate(db, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Options{DB: db, RefreshMode: RefreshEvents})
+	svc, err := New(Options{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}

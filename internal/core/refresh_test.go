@@ -1,61 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-
-	"actyp/internal/registry"
-)
-
-// TestRefreshLoopFoldsMonitorUpdates verifies the self-optimizing loop end
-// to end: the monitor writes fresh loads to the white pages, the refresh
-// loop folds them into pool caches, and scheduling decisions follow.
-func TestRefreshLoopFoldsMonitorUpdates(t *testing.T) {
-	db := registry.NewDB()
-	if err := registry.HomogeneousFleetSpec(2).Populate(db, time.Unix(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := New(Options{DB: db, RefreshInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if err := svc.Precreate("punch.rsrc.arch = sun"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Load m0000 heavily via the "monitor" (direct DB write), then wait
-	// for the refresh loop to propagate it.
-	m, err := db.Get("m0000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := m.Dynamic
-	d.Load = 3.5
-	if err := db.UpdateDynamic("m0000", d); err != nil {
-		t.Fatal(err)
-	}
-
-	// Eventually the scheduler must prefer m0001 (least load wins).
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		g, err := svc.Request("punch.rsrc.arch = sun")
-		if err != nil {
-			t.Fatal(err)
-		}
-		machine := g.Lease.Machine
-		if err := svc.Release(g); err != nil {
-			t.Fatal(err)
-		}
-		if machine == "m0001" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scheduler kept choosing %s despite the load update", machine)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
+import "testing"
 
 func TestStatsAggregation(t *testing.T) {
 	s := fleetService(t, 16)

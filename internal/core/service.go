@@ -58,26 +58,14 @@ type Options struct {
 	// MonitorInterval, when positive, starts a background monitor sweep
 	// at this period using the synthetic sampler.
 	MonitorInterval time.Duration
-	// RefreshMode selects how monitor updates reach live pool caches.
-	// RefreshEvents (the default) subscribes every pool to the registry
-	// change stream: a dispatcher folds updates into the caches
-	// incrementally as they land, so no timer and no full rebuilds are on
-	// the steady-state path. RefreshPoll keeps the timer-driven full
-	// Refresh of every pool — the pre-event behaviour, retained as a knob
-	// and fallback.
-	RefreshMode string
-	// WatchBuffer sizes the events-mode subscription ring. Zero picks a
+	// WatchBuffer sizes the pools' registry subscription ring: monitor
+	// updates reach live pool caches through a dispatcher that folds the
+	// registry change stream into them incrementally. Zero picks a
 	// fleet-scaled default (coalescing bounds the backlog to one slot per
 	// machine and kind, so a fleet-sized ring never overflows under
 	// steady monitor sweeps); an overflowing ring degrades to one full
 	// resync, never to blocked registry writers.
 	WatchBuffer int
-	// RefreshInterval, when positive, periodically folds the monitor's
-	// database updates into every live pool cache (the pools' scheduling
-	// processes re-reading machine state). In poll mode it defaults to
-	// MonitorInterval when that is set; in events mode it is off unless
-	// set explicitly (a safety-net full Refresh underneath the stream).
-	RefreshInterval time.Duration
 	// Selector overrides the query managers' pool-manager selection
 	// (default: random).
 	Selector querymgr.Selector
@@ -130,28 +118,6 @@ type Options struct {
 	Routes *route.Table
 }
 
-// Refresh modes accepted by Options.RefreshMode and the daemons'
-// -refresh-mode flags.
-const (
-	RefreshPoll   = "poll"
-	RefreshEvents = "events"
-)
-
-// defaultRefreshMode is used when Options.RefreshMode is empty. The test
-// suite overrides it (-refresh-default-mode) to run the whole package in
-// either mode, mirroring the wire package's per-codec matrix.
-var defaultRefreshMode = RefreshEvents
-
-// ValidateRefreshMode rejects unknown refresh modes; daemons use it to
-// fail fast on bad -refresh-mode flags.
-func ValidateRefreshMode(mode string) error {
-	switch mode {
-	case "", RefreshPoll, RefreshEvents:
-		return nil
-	}
-	return fmt.Errorf("core: unknown refresh mode %q (want %q or %q)", mode, RefreshPoll, RefreshEvents)
-}
-
 // Grant is a completed resource grant: the machine lease plus the shadow
 // account the run will execute in.
 type Grant struct {
@@ -173,11 +139,8 @@ type Service struct {
 	shadows *shadow.Manager
 	mon     *monitor.Monitor
 	reaper  *pool.Reaper
-	events  *pool.Dispatcher // events mode: the registry->pool freshness bridge
+	events  *pool.Dispatcher // the registry->pool freshness bridge
 	opts    Options
-
-	refreshStop chan struct{}
-	refreshDone chan struct{}
 
 	nextQM  atomic.Uint64
 	shadowN int
@@ -219,12 +182,6 @@ func New(opts Options) (*Service, error) {
 	if err := pool.ValidateEngine(opts.PoolEngine); err != nil {
 		return nil, err
 	}
-	if err := ValidateRefreshMode(opts.RefreshMode); err != nil {
-		return nil, err
-	}
-	if opts.RefreshMode == "" {
-		opts.RefreshMode = defaultRefreshMode
-	}
 	s := &Service{
 		db:      opts.DB,
 		schemas: opts.Schemas,
@@ -233,31 +190,27 @@ func New(opts Options) (*Service, error) {
 		opts:    opts,
 		shadowN: opts.ShadowAccounts,
 	}
-	// A failed constructor must not leak the background helpers started
-	// below (dispatcher drain loop + registry subscription, reaper).
+	buffer := opts.WatchBuffer
+	if buffer <= 0 {
+		// Fleet-scaled: coalescing bounds the backlog to one slot per
+		// machine and kind, so twice the fleet absorbs a sweep plus a
+		// state-flap burst without tripping the resync fallback.
+		buffer = max(registry.DefaultWatchBuffer, 2*opts.DB.Len())
+	}
+	s.events = pool.NewDispatcher(opts.DB, buffer)
+	s.events.Start()
+	// A failed constructor must not leak the background helpers (the
+	// dispatcher's drain loop and registry subscription, the reaper).
 	built := false
 	defer func() {
 		if built {
 			return
 		}
-		if s.events != nil {
-			s.events.Stop()
-		}
+		s.events.Stop()
 		if s.reaper != nil {
 			s.reaper.Stop()
 		}
 	}()
-	if opts.RefreshMode == RefreshEvents {
-		buffer := opts.WatchBuffer
-		if buffer <= 0 {
-			// Fleet-scaled: coalescing bounds the backlog to one slot per
-			// machine and kind, so twice the fleet absorbs a sweep plus a
-			// state-flap burst without tripping the resync fallback.
-			buffer = max(registry.DefaultWatchBuffer, 2*opts.DB.Len())
-		}
-		s.events = pool.NewDispatcher(opts.DB, buffer)
-		s.events.Start()
-	}
 	s.factory = &poolmgr.LocalFactory{
 		DB:          opts.DB,
 		Objective:   opts.Objective,
@@ -330,39 +283,8 @@ func New(opts Options) (*Service, error) {
 		})
 		s.mon.Start()
 	}
-	refreshIvl := opts.RefreshInterval
-	if refreshIvl <= 0 && opts.RefreshMode == RefreshPoll {
-		// Only poll mode infers an interval: in events mode the stream is
-		// the steady-state path, and the timer runs solely when asked for
-		// explicitly (a safety-net full Refresh underneath it).
-		refreshIvl = opts.MonitorInterval
-	}
-	if refreshIvl > 0 {
-		s.refreshStop = make(chan struct{})
-		s.refreshDone = make(chan struct{})
-		go s.refreshLoop(refreshIvl)
-	}
 	built = true
 	return s, nil
-}
-
-// refreshLoop periodically runs every live pool's Refresh — poll mode's
-// freshness path, and the optional safety net underneath events mode —
-// folding the monitor's white-pages updates into the pool caches.
-func (s *Service) refreshLoop(interval time.Duration) {
-	defer close(s.refreshDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.refreshStop:
-			return
-		case <-t.C:
-			for _, p := range s.allPools() {
-				p.Refresh()
-			}
-		}
-	}
 }
 
 // Request submits a native-language query and returns a full grant.
@@ -527,11 +449,8 @@ func (s *Service) Routes() *route.Table { return s.opts.Routes }
 // Reaper exposes the lease reaper (nil when LeaseTTL is unset).
 func (s *Service) Reaper() *pool.Reaper { return s.reaper }
 
-// RefreshMode reports the active freshness mode (RefreshPoll or
-// RefreshEvents).
-func (s *Service) RefreshMode() string { return s.opts.RefreshMode }
-
-// Events exposes the change-stream dispatcher (nil in poll mode).
+// Events exposes the change-stream dispatcher that keeps pool caches
+// fresh.
 func (s *Service) Events() *pool.Dispatcher { return s.events }
 
 // Stats is an aggregate operational snapshot of the pipeline.
@@ -582,12 +501,6 @@ func (s *Service) Close() {
 	if s.reaper != nil {
 		s.reaper.Stop()
 	}
-	if s.refreshStop != nil {
-		close(s.refreshStop)
-		<-s.refreshDone
-	}
-	if s.events != nil {
-		s.events.Stop()
-	}
+	s.events.Stop()
 	s.factory.CloseAll()
 }

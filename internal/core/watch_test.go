@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,60 +186,81 @@ func TestWatchLoadTriggersResync(t *testing.T) {
 	}
 }
 
-// TestWatchDisabledServerDegradesToPoll is the mixed-fleet drill: against
-// a server that answers the subscribe like a pre-watch build (unknown
-// type, error reply), the watcher must latch poll mode, converge via
-// snapshot fetches, and leave regular request traffic untouched.
-func TestWatchDisabledServerDegradesToPoll(t *testing.T) {
-	db := registry.NewDB()
-	if err := registry.DefaultFleetSpec(8).Populate(db, time.Unix(0, 0)); err != nil {
-		t.Fatal(err)
+// rejectingTransport is a Client whose first `fail` subscribes carry an
+// unparseable filter, so the server rejects them with an error reply and
+// the subscriber sees a real remote error from WatchSubscribe.
+type rejectingTransport struct {
+	*Client
+	mu   sync.Mutex
+	fail int
+	subs int
+}
+
+func (r *rejectingTransport) WatchSubscribe(ctx context.Context, filter string, ring int) (registry.WatchStream, error) {
+	r.mu.Lock()
+	r.subs++
+	if r.fail > 0 {
+		r.fail--
+		filter = "no-equals-here"
 	}
-	svc, err := New(Options{DB: db})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), ServeConfig{DisableWatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	r.mu.Unlock()
+	return r.Client.WatchSubscribe(ctx, filter, ring)
+}
+
+// TestWatchRetriesRejectedSubscribe: a subscribe the server rejects with
+// an error reply takes the ordinary retry-with-backoff path. After two
+// rejections the third subscribe streams, the replica syncs and tracks
+// mutations through pushed events, and the watcher never polls.
+func TestWatchRetriesRejectedSubscribe(t *testing.T) {
+	srv, svc := startServer(t, 16, netsim.Local())
 	c, err := Dial(srv.Addr(), netsim.Local())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	tr := &rejectingTransport{Client: c, fail: 2}
+	var remote *wire.RemoteError
+	if _, err := c.WatchSubscribe(context.Background(), "no-equals-here", 0); !errors.As(err, &remote) {
+		t.Fatalf("rejected subscribe err = %v, want *wire.RemoteError", err)
+	}
 
 	rep := registry.NewDB()
 	stats := metrics.NewFederationStats()
-	w := startWatch(t, c, rep, registry.RemoteWatchConfig{
-		Stats: stats, PollInterval: 5 * time.Millisecond,
+	w, err := registry.StartRemoteWatch(registry.RemoteWatchConfig{
+		Transport: tr, Replica: rep, Stats: stats,
+		RetryBackoff: time.Millisecond, PollInterval: time.Millisecond,
 	})
-	if w.Mode() != registry.WatchModePoll {
-		t.Fatalf("mode = %q, want poll against a watch-less server", w.Mode())
-	}
-	waitDBConverged(t, db, rep)
-
-	// Freshness rides the poll ticker.
-	_ = db.UpdateDynamic(db.Names()[0], registry.Dynamic{Load: 42, LastUpdate: time.Unix(8000, 0)})
-	waitDBConverged(t, db, rep)
-	if got := stats.Snapshot().WatchPolls; got < 2 {
-		t.Fatalf("counted %d polls, want >= 2", got)
-	}
-	// The same connection still serves the classic request path.
-	g, err := c.Request("punch.rsrc.arch = sun")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Release(g); err != nil {
+	defer w.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := w.WaitSynced(ctx); err != nil {
 		t.Fatal(err)
+	}
+	db := svc.DB()
+	waitDBConverged(t, db, rep)
+	_ = db.UpdateDynamic(db.Names()[0], registry.Dynamic{Load: 42, LastUpdate: time.Unix(8000, 0)})
+	waitDBConverged(t, db, rep)
+
+	tr.mu.Lock()
+	subs := tr.subs
+	tr.mu.Unlock()
+	if subs != 3 {
+		t.Errorf("subscribed %d times, want 3 (two rejected, one live)", subs)
+	}
+	if w.Mode() != registry.WatchModeStream {
+		t.Errorf("mode = %q, want stream", w.Mode())
+	}
+	snap := stats.Snapshot()
+	if snap.WatchPolls != 0 || snap.WatchEvents == 0 {
+		t.Errorf("polls = %d, events = %d: want freshness from the stream alone", snap.WatchPolls, snap.WatchEvents)
 	}
 }
 
 // TestWatchJSONFloorStreams pins the connection to the JSON codec: the
-// watch family must work at the codec floor too (the degradation ladder
-// keys off servers that lack the message, not off the codec).
+// watch family must work on JSON connections too.
 func TestWatchJSONFloorStreams(t *testing.T) {
 	srv, svc := startServer(t, 8, netsim.Local())
 	c, err := DialOpts(srv.Addr(), netsim.Local(), DialConfig{Codecs: []wire.Codec{wire.JSON}})

@@ -100,21 +100,32 @@ func AblationStaticPools(machines, pools int, scanCost time.Duration) ([]metrics
 		return first, restRec.Mean(), nil
 	}
 
-	coldFirst, coldRest, err := measure(false)
-	if err != nil {
-		return nil, err
+	// A first query is one millisecond-scale sample, which scheduler
+	// noise on a loaded host can flip; each mode therefore runs several
+	// times, interleaved so a load burst hits both, and reports medians.
+	const reps = 5
+	var first, rest [2]*metrics.Recorder // index 0: cold, 1: warm
+	for mode := range first {
+		first[mode], rest[mode] = metrics.NewRecorder(), metrics.NewRecorder()
 	}
-	warmFirst, warmRest, err := measure(true)
-	if err != nil {
-		return nil, err
+	for i := 0; i < reps; i++ {
+		for mode, warm := range []bool{false, true} {
+			f, r, err := measure(warm)
+			if err != nil {
+				return nil, err
+			}
+			first[mode].Record(f)
+			rest[mode].Record(r)
+		}
 	}
-	dynamic := metrics.Series{Label: "dynamic"}
-	dynamic.Add(0, coldFirst.Seconds())
-	dynamic.Add(1, coldRest.Seconds())
-	static := metrics.Series{Label: "static"}
-	static.Add(0, warmFirst.Seconds())
-	static.Add(1, warmRest.Seconds())
-	return []metrics.Series{dynamic, static}, nil
+	var out []metrics.Series
+	for mode, label := range []string{"dynamic", "static"} {
+		s := metrics.Series{Label: label}
+		s.Add(0, first[mode].Percentile(50).Seconds())
+		s.Add(1, rest[mode].Percentile(50).Seconds())
+		out = append(out, s)
+	}
+	return out, nil
 }
 
 // AblationSelection compares the paper's linear search against a

@@ -36,7 +36,7 @@ type CodecConfig struct {
 func DefaultCodec() CodecConfig {
 	return CodecConfig{
 		Machines:     5000,
-		Codecs:       []string{"binary", "json"},
+		Codecs:       []string{"binary2", "json"},
 		PayloadBytes: []int{0, 1024, 8192},
 		Clients:      8,
 		OpsPerClient: 60,
@@ -53,7 +53,7 @@ func CodecScale(cfg CodecConfig) (ops, frames []metrics.Series, err error) {
 		cfg.Machines = 5000
 	}
 	if len(cfg.Codecs) == 0 {
-		cfg.Codecs = []string{"binary", "json"}
+		cfg.Codecs = []string{"binary2", "json"}
 	}
 	if len(cfg.PayloadBytes) == 0 {
 		cfg.PayloadBytes = []int{0, 1024, 8192}

@@ -12,7 +12,7 @@ import (
 func TestCodecScaleQuick(t *testing.T) {
 	cfg := CodecConfig{
 		Machines:     200,
-		Codecs:       []string{"binary", "json"},
+		Codecs:       []string{"binary2", "json"},
 		PayloadBytes: []int{0, 512},
 		Clients:      2,
 		OpsPerClient: 3,
@@ -27,7 +27,7 @@ func TestCodecScaleQuick(t *testing.T) {
 	}
 	all := append(append([]metrics.Series{}, ops...), frames...)
 	for _, s := range all {
-		if s.Label != "binary" && s.Label != "json" {
+		if s.Label != "binary2" && s.Label != "json" {
 			t.Errorf("unexpected series label %q", s.Label)
 		}
 		if len(s.Points) != len(cfg.PayloadBytes) {

@@ -11,33 +11,21 @@ package registry
 // protocol; wire imports registry, so the reverse import would cycle),
 // which also keeps the protocol machinery testable with in-memory fakes.
 //
-// Degradation ladder, in order:
-//
-//  1. watch stream — coalesced event batches applied incrementally.
-//  2. resync — on a resync marker (remote ring overflow or wholesale
-//     Load), stream overflow, or reconnect, the replica re-baselines from
-//     a full snapshot fetch and the stream resumes.
-//  3. poll — a peer that answers the subscribe with a remote error has
-//     never learned the watch message (the JSON floor); the watcher
-//     latches poll mode and keeps the replica fresh with periodic
-//     snapshot fetches instead. Old peers cost bandwidth, not liveness.
+// Freshness runs on the watch stream: coalesced event batches applied
+// incrementally. On a resync marker (remote ring overflow or wholesale
+// Load), stream overflow, or reconnect, the replica re-baselines from a
+// full snapshot fetch and the stream resumes; a failed subscribe retries
+// with backoff. Poll mode (periodic snapshot fetches, no stream) runs only
+// when ForcePoll asks for it, as the federation benchmark's baseline.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"actyp/internal/metrics"
 )
-
-// ErrWatchUnsupported reports that the remote peer does not implement the
-// watch message family (a JSON-floor or pre-watch build). Transports
-// return it from WatchSubscribe; RemoteWatch reacts by latching the poll
-// fallback instead of retrying the subscribe.
-var ErrWatchUnsupported = errors.New("registry: remote peer does not support watch")
 
 // WatchBatch is one received unit of the remote change stream: either a
 // batch of events or a resync marker (never both; a marker means the
@@ -61,11 +49,10 @@ type WatchStream interface {
 type WatchTransport interface {
 	// WatchSubscribe opens a stream of changes to records matching filter
 	// ("" = all), with a server-side coalescing ring of the given size
-	// (<=0 = server default). It returns ErrWatchUnsupported (possibly
-	// wrapped) when the peer does not speak watch.
+	// (<=0 = server default).
 	WatchSubscribe(ctx context.Context, filter string, ring int) (WatchStream, error)
 	// FetchSnapshot returns the current records matching filter — the
-	// resync baseline and the poll fallback's freshness unit.
+	// resync baseline and poll mode's freshness unit.
 	FetchSnapshot(ctx context.Context, filter string) ([]*Machine, error)
 }
 
@@ -87,7 +74,7 @@ type RemoteWatchConfig struct {
 	// Ring sizes the remote subscription's coalescing ring (<=0 uses the
 	// server default).
 	Ring int
-	// PollInterval paces the poll fallback and defaults to 2s.
+	// PollInterval paces poll mode and defaults to 2s.
 	PollInterval time.Duration
 	// RetryBackoff is the initial resubscribe backoff after a stream
 	// failure (default 50ms, capped at 2s, full jitter not needed — each
@@ -98,7 +85,7 @@ type RemoteWatchConfig struct {
 	ForcePoll bool
 	// Stats, when set, counts events, resyncs, polls, and reconnects.
 	Stats *metrics.FederationStats
-	// Logf receives rare diagnostics (mode degradation); nil discards.
+	// Logf receives rare diagnostics (failed resync fetches); nil discards.
 	Logf func(format string, args ...any)
 }
 
@@ -112,8 +99,6 @@ type RemoteWatch struct {
 
 	synced     chan struct{}
 	syncedOnce sync.Once
-
-	mode atomic.Value // string: WatchModeStream or WatchModePoll
 
 	streamMu sync.Mutex
 	stream   WatchStream
@@ -143,18 +128,22 @@ func StartRemoteWatch(cfg RemoteWatchConfig) (*RemoteWatch, error) {
 		done:   make(chan struct{}),
 		synced: make(chan struct{}),
 	}
-	w.mode.Store(WatchModeStream)
 	if cfg.ForcePoll {
-		w.mode.Store(WatchModePoll)
+		go w.pollLoop()
+	} else {
+		go w.run()
 	}
-	go w.run()
 	return w, nil
 }
 
-// Mode reports the active freshness mode: WatchModeStream while the event
-// stream feeds the replica, WatchModePoll once the watcher degraded to
-// periodic snapshot fetches.
-func (w *RemoteWatch) Mode() string { return w.mode.Load().(string) }
+// Mode reports the freshness mode: WatchModePoll under ForcePoll,
+// WatchModeStream otherwise.
+func (w *RemoteWatch) Mode() string {
+	if w.cfg.ForcePoll {
+		return WatchModePoll
+	}
+	return WatchModeStream
+}
 
 // WaitSynced blocks until the replica holds its first complete baseline
 // (or ctx expires, or the watcher is closed).
@@ -210,17 +199,8 @@ func (w *RemoteWatch) run() {
 	backoff := w.cfg.RetryBackoff
 	const maxBackoff = 2 * time.Second
 	for w.ctx.Err() == nil {
-		if w.Mode() == WatchModePoll {
-			w.pollLoop()
-			return
-		}
 		st, err := w.cfg.Transport.WatchSubscribe(w.ctx, w.cfg.Filter, w.cfg.Ring)
 		if err != nil {
-			if errors.Is(err, ErrWatchUnsupported) {
-				w.logf("registry: remote watch unsupported by peer, degrading to poll every %v", w.cfg.PollInterval)
-				w.mode.Store(WatchModePoll)
-				continue
-			}
 			if !w.sleep(backoff) {
 				return
 			}
@@ -246,7 +226,7 @@ func (w *RemoteWatch) run() {
 		w.markSynced()
 		w.consume(st)
 		_ = st.Close()
-		if w.ctx.Err() == nil && w.Mode() == WatchModeStream {
+		if w.ctx.Err() == nil {
 			w.cfg.Stats.WatchReconnect()
 		}
 	}
@@ -287,9 +267,10 @@ func (w *RemoteWatch) resync() error {
 	return nil
 }
 
-// pollLoop is the floor: periodic snapshot fetches, no stream. It runs
-// until the watcher closes.
+// pollLoop is ForcePoll's loop: periodic snapshot fetches, no stream. It
+// runs until the watcher closes.
 func (w *RemoteWatch) pollLoop() {
+	defer close(w.done)
 	poll := func() {
 		w.cfg.Stats.WatchPoll()
 		if err := w.resync(); err != nil {

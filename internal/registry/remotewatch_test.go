@@ -38,23 +38,19 @@ func (s *fakeWatchStream) Close() error {
 
 // fakeTransport implements WatchTransport against a live source backend:
 // FetchSnapshot reads the backend, WatchSubscribe hands out hand-fed
-// streams (or ErrWatchUnsupported, mimicking a JSON-floor peer).
+// streams.
 type fakeTransport struct {
 	src Backend
 
-	mu          sync.Mutex
-	unsupported bool
-	subs        int
-	fetches     int
-	cur         *fakeWatchStream
+	mu      sync.Mutex
+	subs    int
+	fetches int
+	cur     *fakeWatchStream
 }
 
 func (f *fakeTransport) WatchSubscribe(ctx context.Context, filter string, ring int) (WatchStream, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.unsupported {
-		return nil, fmt.Errorf("server: unknown message type %q: %w", "watch", ErrWatchUnsupported)
-	}
 	f.subs++
 	f.cur = newFakeWatchStream()
 	return f.cur, nil
@@ -229,39 +225,6 @@ func TestRemoteWatchReconnect(t *testing.T) {
 	}
 	if w.Mode() != WatchModeStream {
 		t.Fatalf("mode degraded to %q on a plain reconnect", w.Mode())
-	}
-}
-
-// TestRemoteWatchUnsupportedDegradesToPoll is the JSON-floor ladder: a peer
-// that bounces the subscribe latches poll mode and stays fresh by fetches.
-func TestRemoteWatchUnsupportedDegradesToPoll(t *testing.T) {
-	src := watchSrc(t, 4)
-	tr := &fakeTransport{src: src, unsupported: true}
-	rep := NewDB()
-	stats := metrics.NewFederationStats()
-	w, err := StartRemoteWatch(RemoteWatchConfig{
-		Transport: tr, Replica: rep, Stats: stats, PollInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := w.WaitSynced(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if w.Mode() != WatchModePoll {
-		t.Fatalf("mode = %q, want poll", w.Mode())
-	}
-	backendsEqual(t, src, rep)
-
-	// Freshness now rides the poll ticker alone.
-	_ = src.UpdateDynamic("rw000", Dynamic{Load: 3})
-	_ = src.Remove("rw002")
-	waitConverged(t, src, rep)
-	if got := stats.Snapshot().WatchPolls; got < 1 {
-		t.Fatalf("stats counted %d polls, want >= 1", got)
 	}
 }
 

@@ -16,15 +16,14 @@ import (
 // encodes and decodes whole envelopes (the fixed type/id header plus the
 // payload bytes) and decodes the payloads it produced. Connections pick a
 // codec through the hello/hello-ack negotiation (see ServeConnOpts and
-// Client); peers that never negotiate — pre-codec builds, UDP datagrams —
-// speak JSON, the compatibility floor every deployment shares.
+// Client); UDP datagrams, which carry no negotiation state, speak JSON.
 //
-// Future codecs (compression, versioned schemas) plug in here: implement
-// the three methods, register a name in CodecByName, and make the first
-// body byte distinguishable from '{' (JSON) and existing codec magics so
-// the negotiation ack can be sniffed.
+// Future codecs plug in here: implement the three methods, register a
+// name in CodecByName, and make the first body byte distinguishable from
+// '{' (JSON) and existing codec magics so the negotiation ack can be
+// sniffed.
 type Codec interface {
-	// Name identifies the codec during negotiation ("json", "binary").
+	// Name identifies the codec during negotiation ("json", "binary2").
 	Name() string
 	// AppendEnvelope appends env, encoded as one frame body, to dst and
 	// returns the extended slice. The envelope's typed payload (Msg) is
@@ -39,34 +38,29 @@ type Codec interface {
 	DecodePayload(payload []byte, out any) error
 }
 
-// JSON is the compatibility codec: frames are JSON envelopes exactly as
-// pre-codec builds wrote them. It is the differential oracle the binary
-// codec is tested against and the floor negotiation falls back to.
+// JSON is the reference codec: frames are JSON envelopes. It is the
+// differential oracle the binary codec is tested against, the codec of
+// UDP datagrams, and what negotiation lands on when the two ends share
+// no binary codec.
 var JSON Codec = jsonCodec{}
 
-// Binary is the compact codec: length-prefixed fields, varint ids, no
-// reflection on the fixed envelope header, with per-type fast paths for
-// the hot payloads and a JSON fallback for everything else.
-var Binary Codec = binaryCodec{}
-
-// Binary2 extends Binary with the overload-control envelope fields (From,
-// Deadline) behind a flags byte. Payload encodings are identical to
-// Binary; only the envelope header differs. Peers that predate it simply
-// never pick it during negotiation and the connection degrades to Binary
-// — which is exactly the "absent = no deadline" behaviour old peers need.
-var Binary2 Codec = binaryCodec{v2: true}
+// Binary2 is the compact codec: length-prefixed fields, varint ids, no
+// reflection on the fixed envelope header, a flags byte carrying the
+// overload-control envelope fields (From, Deadline), per-type fast paths
+// for the hot payloads, and a JSON fallback for everything else.
+var Binary2 Codec = binaryCodec{}
 
 // defaultCodecs is the negotiation preference used when a client or server
 // is not configured with an explicit list. Tests may override it to force
 // a whole run onto one codec.
-var defaultCodecs = []Codec{Binary2, Binary, JSON}
+var defaultCodecs = []Codec{Binary2, JSON}
 
 // DefaultCodecs returns the default negotiation preference, best first.
 func DefaultCodecs() []Codec {
 	return append([]Codec(nil), defaultCodecs...)
 }
 
-// CodecByName resolves a codec name ("json", "binary", "binary2"),
+// CodecByName resolves a codec name ("json", "binary2"),
 // optionally carrying a compression suffix ("binary2+flate"). Unknown
 // algorithms and misplaced suffixes get errors that name the fix.
 func CodecByName(name string) (Codec, error) {
@@ -75,8 +69,6 @@ func CodecByName(name string) (Codec, error) {
 	switch base {
 	case "json":
 		inner = JSON
-	case "binary":
-		inner = Binary
 	case "binary2":
 		inner = Binary2
 	case AlgoFlate, "gzip", "zlib", "zstd", "lz4", "snappy":
@@ -84,7 +76,7 @@ func CodecByName(name string) (Codec, error) {
 		// syntax; point at it.
 		return nil, fmt.Errorf("wire: %q is a compression algo, not a codec: append it to a base codec, e.g. %q", name, "binary2+"+AlgoFlate)
 	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (want json, binary, binary2, or <codec>+%s)", name, AlgoFlate)
+		return nil, fmt.Errorf("wire: unknown codec %q (want json, binary2, or <codec>+%s)", name, AlgoFlate)
 	}
 	if algo == "" {
 		return inner, nil
@@ -97,9 +89,9 @@ func CodecByName(name string) (Codec, error) {
 }
 
 // ParseCodecs resolves a flag-style codec spec into a preference list:
-// "" or "auto" means the default preference (binary first), a single name
+// "" or "auto" means the default preference (binary2 first), a single name
 // pins that codec (negotiation still lands on JSON against a peer that
-// cannot speak it), and a comma-separated list sets an explicit order.
+// does not offer it), and a comma-separated list sets an explicit order.
 // Compressed codecs spell as "<codec>+<algo>" ("binary2+flate").
 func ParseCodecs(spec string) ([]Codec, error) {
 	if spec == "" || spec == "auto" {
@@ -129,18 +121,14 @@ func codecNames(cs []Codec) []string {
 // so the connection is still healthy — only the failed message is lost.
 var ErrEncode = errors.New("wire: encode")
 
-// jsonCodec is the JSON implementation of Codec. The wire format is
-// byte-identical to the pre-codec protocol, so negotiating down to it
-// interoperates with old peers.
+// jsonCodec is the JSON implementation of Codec.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string { return "json" }
 
 // jsonEnvelope is the marshalled shape; Envelope itself carries extra
 // bookkeeping (Msg, codec) that must not leak onto the wire. From and
-// Deadline are omitted when unset, so frames without them stay
-// byte-identical to the pre-overload protocol (and old decoders ignore
-// them when present).
+// Deadline are omitted when unset.
 type jsonEnvelope struct {
 	Type     string          `json:"type"`
 	ID       uint64          `json:"id"`
@@ -266,11 +254,14 @@ func (f *Framer) WriteFrame(w io.Writer, env *Envelope) error {
 		return fmt.Errorf("wire: frame of %d bytes: %w", body, ErrFrameTooLarge)
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(body))
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
+	// Count before writing: once the peer can read the frame, the sender's
+	// stats must already show it. A write that then fails kills the
+	// connection, so the frame it over-counts is the last one.
 	if f.stats != nil {
 		f.stats.Sent(f.codec.Name(), len(buf), rawFrameSize(f.codec, buf[4:]))
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
@@ -325,9 +316,9 @@ func putReadBuf(bp *[]byte) {
 
 var jsonFramer = NewFramer(JSON)
 
-// WriteFrame writes one JSON frame. It is the compatibility shim pre-codec
-// peers speak (and tests use to simulate them); negotiated connections go
-// through a codec-bound Framer instead.
+// WriteFrame writes one JSON frame: the hello always travels this way, and
+// tests use it to hand-craft frames. Negotiated connections go through a
+// codec-bound Framer instead.
 func WriteFrame(w io.Writer, env *Envelope) error { return jsonFramer.WriteFrame(w, env) }
 
 // ReadFrame reads one JSON frame; see WriteFrame for when to prefer a

@@ -54,14 +54,14 @@ func BenchmarkCodecRequestJSON(b *testing.B) {
 	benchCodec(b, JSON, benchRequest(), func() any { return &QueryRequest{} })
 }
 
-func BenchmarkCodecRequestBinary(b *testing.B) {
-	benchCodec(b, Binary, benchRequest(), func() any { return &QueryRequest{} })
+func BenchmarkCodecRequestBinary2(b *testing.B) {
+	benchCodec(b, Binary2, benchRequest(), func() any { return &QueryRequest{} })
 }
 
 func BenchmarkCodecReplyJSON(b *testing.B) {
 	benchCodec(b, JSON, benchReply(), func() any { return &QueryReply{} })
 }
 
-func BenchmarkCodecReplyBinary(b *testing.B) {
-	benchCodec(b, Binary, benchReply(), func() any { return &QueryReply{} })
+func BenchmarkCodecReplyBinary2(b *testing.B) {
+	benchCodec(b, Binary2, benchReply(), func() any { return &QueryReply{} })
 }

@@ -60,9 +60,9 @@ func codecCorpus() []corpusEnvelope {
 			func() any { return &SpawnPoolRequest{} }},
 		{"spawn-reply", TypeSpawnPool, 18, SpawnPoolReply{Instance: "p#2", Addr: "127.0.0.1:9999"},
 			func() any { return &SpawnPoolReply{} }},
-		{"hello", TypeHello, 0, Hello{Codecs: []string{"binary", "json"}},
+		{"hello", TypeHello, 0, Hello{Codecs: []string{"binary2", "json"}},
 			func() any { return &Hello{} }},
-		{"hello-ack", TypeHelloAck, 0, HelloAck{Codec: "binary"},
+		{"hello-ack", TypeHelloAck, 0, HelloAck{Codec: "binary2"},
 			func() any { return &HelloAck{} }},
 		// Private protocol extensions ride the generic JSON fallback in
 		// both codecs (the envelope type is not in the binary type table
@@ -95,7 +95,7 @@ func TestCodecDifferentialCorpus(t *testing.T) {
 	for _, tc := range codecCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			decoded := map[string]any{}
-			for _, codec := range []Codec{JSON, Binary} {
+			for _, codec := range []Codec{JSON, Binary2} {
 				framer := NewFramer(codec)
 				env := &Envelope{Type: tc.typ, ID: tc.id, Msg: tc.payload}
 				var buf bytes.Buffer
@@ -116,8 +116,8 @@ func TestCodecDifferentialCorpus(t *testing.T) {
 				normalizeTimes(out)
 				decoded[codec.Name()] = out
 			}
-			if !reflect.DeepEqual(decoded["json"], decoded["binary"]) {
-				t.Errorf("codecs disagree:\n json   = %#v\n binary = %#v", decoded["json"], decoded["binary"])
+			if !reflect.DeepEqual(decoded["json"], decoded["binary2"]) {
+				t.Errorf("codecs disagree:\n json    = %#v\n binary2 = %#v", decoded["json"], decoded["binary2"])
 			}
 		})
 	}
@@ -138,7 +138,7 @@ func TestBinaryFramesAreSmaller(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binBody, err := Binary.AppendEnvelope(nil, tc.env)
+		binBody, err := Binary2.AppendEnvelope(nil, tc.env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestBinaryDecodeNeverPanicsProperty(t *testing.T) {
 				t.Fatalf("binary decode panicked on %x: %v", raw, r)
 			}
 		}()
-		env, err := Binary.DecodeEnvelope(raw)
+		env, err := Binary2.DecodeEnvelope(raw)
 		if err != nil {
 			return true
 		}
@@ -177,7 +177,7 @@ func TestBinaryDecodeNeverPanicsProperty(t *testing.T) {
 // TestBinaryTruncationAlwaysErrors mirrors the JSON truncation property:
 // a binary frame cut at any byte boundary never reads as a whole frame.
 func TestBinaryTruncationAlwaysErrors(t *testing.T) {
-	framer := NewFramer(Binary)
+	framer := NewFramer(Binary2)
 	env := &Envelope{Type: TypeQuery, ID: 42, Msg: QueryRequest{Text: "punch.rsrc.arch = sun", Visited: []string{"pm-a"}}}
 	var full bytes.Buffer
 	if err := framer.WriteFrame(&full, env); err != nil {
@@ -188,6 +188,13 @@ func TestBinaryTruncationAlwaysErrors(t *testing.T) {
 		if _, err := framer.ReadFrame(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes read a frame", cut, len(raw))
 		}
+	}
+	// A whole frame stamped with the retired version byte 0x01 is corrupt
+	// input too: only version 0x02 decodes.
+	v1 := bytes.Clone(raw)
+	v1[5] = 0x01 // length prefix (4), magic (1), then the version byte
+	if _, err := framer.ReadFrame(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("version-0x01 frame: err = %v, want a version rejection", err)
 	}
 	got, err := framer.ReadFrame(bytes.NewReader(raw))
 	if err != nil {
@@ -205,7 +212,7 @@ func TestBinaryTruncationAlwaysErrors(t *testing.T) {
 // TestBinaryPayloadTypeMismatch: a fast-path payload decoded into the
 // wrong struct fails loudly instead of misparsing silently.
 func TestBinaryPayloadTypeMismatch(t *testing.T) {
-	framer := NewFramer(Binary)
+	framer := NewFramer(Binary2)
 	var buf bytes.Buffer
 	env := &Envelope{Type: TypeQuery, ID: 1, Msg: QueryRequest{Text: "x"}}
 	if err := framer.WriteFrame(&buf, env); err != nil {
@@ -225,7 +232,7 @@ func TestBinaryPayloadTypeMismatch(t *testing.T) {
 // and the failure precedes any byte reaching the writer.
 func TestWriteFrameOversizedPerCodec(t *testing.T) {
 	big := strings.Repeat("x", MaxFrame)
-	for _, codec := range []Codec{JSON, Binary} {
+	for _, codec := range []Codec{JSON, Binary2} {
 		framer := NewFramer(codec)
 		var buf bytes.Buffer
 		err := framer.WriteFrame(&buf, &Envelope{Type: TypeQuery, ID: 1, Msg: QueryRequest{Text: big}})
@@ -243,11 +250,11 @@ func TestParseCodecs(t *testing.T) {
 		spec string
 		want []string
 	}{
-		{"", []string{"binary", "json"}},
-		{"auto", []string{"binary", "json"}},
+		{"", []string{"binary2", "json"}},
+		{"auto", []string{"binary2", "json"}},
 		{"json", []string{"json"}},
-		{"binary", []string{"binary"}},
-		{"json,binary", []string{"json", "binary"}},
+		{"binary2", []string{"binary2"}},
+		{"json,binary2", []string{"json", "binary2"}},
 	} {
 		got, err := ParseCodecs(tc.spec)
 		if err != nil {
@@ -279,6 +286,7 @@ func TestParseCodecs(t *testing.T) {
 		"flate":        "binary2+flate",
 		"binary2+gzip": "flate", // unknown algo on a valid base
 		"bogus":        "+flate",
+		"binary":       "binary2",       // no codec of that name; the error names the real one
 		"json+flate":   "binary family", // no payload tag to compress behind
 	} {
 		_, err := ParseCodecs(spec)

@@ -16,8 +16,8 @@ package wire
 // compression CPU — as do payloads that fail to shrink.
 //
 // The name travels through the same hello codec-preference list as every
-// other codec, so old peers silently land on an uncompressed codec; and
-// because ANY binary-family decoder understands tag 0x03, a decoded
+// other codec, so a peer that does not offer it lands on an uncompressed
+// codec; and because ANY binary-family decoder understands tag 0x03, a decoded
 // compressed payload can be re-framed onto an uncompressed binary
 // connection without re-encoding. Corrupt or truncated compressed input
 // fails in DecodePayload — one message, never the connection.
@@ -54,8 +54,7 @@ func algoByte(algo string) (byte, bool) {
 
 // Compressed wraps a binary-family codec with negotiated per-frame
 // compression under the given algorithm ("flate"). The JSON codec cannot
-// be wrapped: it is the negotiation floor old peers rely on and must stay
-// byte-identical to the pre-codec protocol.
+// be wrapped: it is the differential oracle and must stay plain JSON.
 func Compressed(inner Codec, algo string) (Codec, error) {
 	if _, ok := algoByte(algo); !ok {
 		return nil, fmt.Errorf("wire: unknown compression algo %q (want %s)", algo, AlgoFlate)

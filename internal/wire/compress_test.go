@@ -143,18 +143,16 @@ func TestUncompressedPeerDecodesCompressedTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dec := range []Codec{Binary, Binary2} {
-		got, err := dec.DecodeEnvelope(body)
-		if err != nil {
-			t.Fatalf("%s: %v", dec.Name(), err)
-		}
-		var p echoPayload
-		if err := dec.DecodePayload(got.Payload, &p); err != nil {
-			t.Fatalf("%s: %v", dec.Name(), err)
-		}
-		if p.Token != bigToken(2048) {
-			t.Errorf("%s: payload corrupted", dec.Name())
-		}
+	got, err := Binary2.DecodeEnvelope(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p echoPayload
+	if err := Binary2.DecodePayload(got.Payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Token != bigToken(2048) {
+		t.Error("payload corrupted")
 	}
 }
 
@@ -257,9 +255,9 @@ func TestDecompressionBombRejected(t *testing.T) {
 
 // TestCompressedInteropMixedFleet is the mixed-fleet acceptance sweep,
 // run with concurrent callers so -race covers the compression pools:
-// compressed peers negotiate flate only when both ends offer it, land on
-// plain binary2 against uncompressed peers, and fall to JSON against a
-// pre-codec server — large payloads flow correctly in every pairing.
+// compressed peers negotiate flate only when both ends offer it and land
+// on plain binary2 against uncompressed peers — large payloads flow
+// correctly in every pairing.
 func TestCompressedInteropMixedFleet(t *testing.T) {
 	comp := compCodec(t)
 	cases := []struct {
@@ -270,12 +268,10 @@ func TestCompressedInteropMixedFleet(t *testing.T) {
 	}{
 		{"both-compressed", ServeOptions{Window: 8, Codecs: []Codec{comp, Binary2, JSON}},
 			ClientOptions{Codecs: []Codec{comp, Binary2, JSON}}, "binary2+flate"},
-		{"old-server-new-client", ServeOptions{Window: 8, Codecs: []Codec{Binary2, Binary, JSON}},
+		{"old-server-new-client", ServeOptions{Window: 8, Codecs: []Codec{Binary2, JSON}},
 			ClientOptions{Codecs: []Codec{comp, Binary2, JSON}}, "binary2"},
 		{"new-server-old-client", ServeOptions{Window: 8, Codecs: []Codec{comp, Binary2, JSON}},
 			ClientOptions{Codecs: []Codec{Binary2, JSON}}, "binary2"},
-		{"pre-codec-server", ServeOptions{Window: 8, DisableNegotiation: true},
-			ClientOptions{Codecs: []Codec{comp, JSON}}, "json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -318,7 +314,7 @@ func TestCorruptCompressedFrameFailsOneMessage(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// Handshake by hand: hello on the JSON floor, ack sniffed.
+	// Handshake by hand: hello in JSON, ack sniffed.
 	jf := NewFramer(JSON)
 	hello := &Envelope{Type: TypeHello, ID: 1, Msg: Hello{Codecs: []string{comp.Name()}}}
 	if err := jf.WriteFrame(conn, hello); err != nil {
@@ -328,7 +324,7 @@ func TestCorruptCompressedFrameFailsOneMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chosen, _, err := resolveAck(ack, []Codec{comp, JSON})
+	chosen, err := resolveAck(ack, []Codec{comp, JSON})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,6 @@ type ServeOptions struct {
 	// Codecs is the negotiation preference, best first (nil means
 	// DefaultCodecs). Offering only JSON pins every connection to JSON.
 	Codecs []Codec
-	// DisableNegotiation serves plain JSON and dispatches hellos to the
-	// handler like any other request — exactly how a pre-codec server
-	// behaves. Tests use it to prove new clients fall back cleanly.
-	DisableNegotiation bool
 	// Overload enables the overload-control dispatch path: decoded
 	// requests route through priority lanes (control > lease > bulk)
 	// with admission and deadline-aware shedding instead of the single
@@ -40,7 +36,7 @@ type ServeOptions struct {
 	// own goroutine, which pushes frames through the connection's writer
 	// until the peer cancels or the connection tears down. Nil serves no
 	// streams; unknown types still reach the regular handler (which
-	// answers with an error reply — the floor old peers rely on).
+	// answers with an error reply).
 	Streams map[string]StreamHandler
 	// Stats, when set, accounts every frame this connection reads and
 	// writes (bytes, frames, compressed-vs-raw) under its codec's name.
@@ -79,7 +75,7 @@ type workItem struct {
 //
 // If the first frame is a hello, the server answers with the best mutual
 // codec and both directions switch to it; any other first frame leaves the
-// connection on JSON, which is how pre-codec clients keep working.
+// connection on JSON.
 //
 // Backpressure is structural: when all workers are busy the reader blocks
 // handing off the next frame, so at most `window` requests execute
@@ -231,7 +227,7 @@ func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
 		}
 		if first {
 			first = false
-			if !opts.DisableNegotiation && env.Type == TypeHello {
+			if env.Type == TypeHello {
 				chosen := JSON
 				var h Hello
 				if env.Decode(&h) == nil {
@@ -239,11 +235,10 @@ func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
 				}
 				// The ack is queued before any request is dispatched, so it
 				// is necessarily the first frame the writer sends.
-				hasFirst := h.First != nil && h.First.Type != ""
-				ack := &Envelope{Type: TypeHelloAck, ID: env.ID, Msg: HelloAck{Codec: chosen.Name(), First: hasFirst}}
+				ack := &Envelope{Type: TypeHelloAck, ID: env.ID, Msg: HelloAck{Codec: chosen.Name()}}
 				replies <- outbound{env: ack, switchTo: chosen}
 				framer = NewFramerStats(chosen, opts.Stats)
-				if hasFirst {
+				if h.First != nil && h.First.Type != "" {
 					// The piggybacked first request dispatches like any
 					// other frame; its reply (in the chosen codec) follows
 					// the ack through the writer.

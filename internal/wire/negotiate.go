@@ -9,18 +9,15 @@ import (
 
 // Codec negotiation is one round trip, spent once per connection:
 //
-//	client                                server
-//	  | -- hello {codecs: [binary,json]} -->|   (always JSON)
-//	  |<-- hello-ack {codec: binary} ------ |   (encoded in the chosen codec)
+//	client                                 server
+//	  | -- hello {codecs: [binary2,json]} -->|   (always JSON)
+//	  |<-- hello-ack {codec: binary2} ------ |   (encoded in the chosen codec)
 //	  | ==== all further frames in the chosen codec ====
 //
 // The server picks the first codec of its own preference list the client
-// also offered, falling back to JSON. Either side that does not negotiate
-// keeps the whole connection on JSON: an old client's first frame is a
-// regular request (the server serves it and stays on JSON), and an old
-// server answers the hello with an unknown-type error envelope (the client
-// reads it as "no negotiation here" and stays on JSON). Mixed-version
-// fleets therefore interoperate, at worst on the JSON floor.
+// also offered, falling back to JSON. A server that answers the hello with
+// anything but a hello-ack fails the dial. A first frame that is not a
+// hello leaves the connection on JSON.
 
 // pickCodec returns the first of the server's preference list the client
 // also offers, falling back to JSON (always implicitly supported).
@@ -47,7 +44,7 @@ func readFrameDetect(r io.Reader) (*Envelope, error) {
 	defer putReadBuf(bp)
 	codec := JSON
 	if body[0] == binMagic {
-		codec = Binary
+		codec = Binary2
 	}
 	env, err := codec.DecodeEnvelope(body)
 	if err != nil {
@@ -57,9 +54,7 @@ func readFrameDetect(r io.Reader) (*Envelope, error) {
 }
 
 // negotiateClient advertises codecs on a fresh connection and returns the
-// codec the server picked. A server that predates negotiation answers the
-// hello with an error envelope; that downgrades the connection to JSON
-// rather than failing it.
+// codec the server picked.
 func negotiateClient(conn net.Conn, codecs []Codec) (Codec, error) {
 	hello := &Envelope{Type: TypeHello, Msg: Hello{Codecs: codecNames(codecs)}}
 	if err := jsonFramer.WriteFrame(conn, hello); err != nil {
@@ -69,53 +64,51 @@ func negotiateClient(conn net.Conn, codecs []Codec) (Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	if reply.Type != TypeHelloAck {
-		return JSON, nil // old server: the hello bounced as an app-level reply
-	}
-	// From here the server HAS negotiated and already switched its side to
-	// the acked codec — silently "falling back" to JSON would desync the
-	// two ends, so a bad ack fails the connection instead.
-	chosen, _, err := resolveAck(reply, codecs)
-	return chosen, err
+	return resolveAck(reply, codecs)
 }
 
-// resolveAck decodes a hello-ack and maps the server's pick back to one
-// of the offered codecs. Shared by the normal handshake and the
-// piggybacked one-shot path so negotiation semantics cannot fork.
-func resolveAck(reply *Envelope, codecs []Codec) (Codec, HelloAck, error) {
+// resolveAck checks that the server answered the hello with a hello-ack
+// and maps its pick back to one of the offered codecs. Shared by the
+// normal handshake and the piggybacked one-shot path so negotiation
+// semantics cannot fork. The server has already switched its side to the
+// acked codec, so a bad ack fails the connection rather than guessing.
+func resolveAck(reply *Envelope, codecs []Codec) (Codec, error) {
+	if reply.Type != TypeHelloAck {
+		if reply.Type == TypeError {
+			var e ErrorReply
+			if reply.Decode(&e) == nil {
+				return nil, fmt.Errorf("server rejected hello: %s", e.Message)
+			}
+		}
+		return nil, fmt.Errorf("server answered hello with %q, not %q", reply.Type, TypeHelloAck)
+	}
 	var ack HelloAck
 	if err := reply.Decode(&ack); err != nil {
-		return nil, ack, fmt.Errorf("bad hello-ack: %w", err)
+		return nil, fmt.Errorf("bad hello-ack: %w", err)
 	}
 	for _, c := range codecs {
 		if c.Name() == ack.Codec {
-			return c, ack, nil
+			return c, nil
 		}
 	}
-	return nil, ack, fmt.Errorf("server picked codec %q, which was not offered", ack.Codec)
+	return nil, fmt.Errorf("server picked codec %q, which was not offered", ack.Codec)
 }
 
 // CallPiggyback performs a one-shot exchange on a fresh connection: the
 // hello advertises codecs AND carries the first request, so the exchange
 // costs a single round trip — the reply, in the negotiated codec, arrives
 // right behind the hello-ack. This is the path for rare throwaway
-// connections (proxy pool spawns) that previously had to choose between
-// negotiating (an extra round trip) and pinning themselves to the JSON
-// floor.
-//
-// Against a server that does not negotiate (a pre-codec build), the hello
-// bounces as an application-level reply and the embedded request was
-// never seen, so the call transparently re-sends it as a plain JSON frame
-// on the same connection — one extra round trip, exactly the old
-// behaviour. Failures the server reports come back as *RemoteError; the
-// caller owns the connection's lifecycle.
+// connections (proxy pool spawns). A server that answers the hello with
+// anything but a hello-ack fails the call; failures the server reports
+// for the request come back as *RemoteError. The caller owns the
+// connection's lifecycle.
 func CallPiggyback(conn net.Conn, codecs []Codec, req *Envelope) (*Envelope, error) {
 	if codecs == nil {
 		codecs = DefaultCodecs()
 	}
 	if req.ID == 0 {
-		// The hello itself travels with id 0; the request needs its own id
-		// so the fallback path can tell their replies apart.
+		// The hello itself travels with id 0; the request gets its own so
+		// its reply cannot be mistaken for the ack.
 		req.ID = 1
 	}
 	first := &HelloFirst{Type: req.Type, ID: req.ID, Payload: json.RawMessage(req.Payload)}
@@ -130,55 +123,21 @@ func CallPiggyback(conn net.Conn, codecs []Codec, req *Envelope) (*Envelope, err
 	if err := jsonFramer.WriteFrame(conn, hello); err != nil {
 		return nil, err
 	}
-	reply, err := readFrameDetect(conn)
+	ack, err := readFrameDetect(conn)
 	if err != nil {
 		return nil, err
 	}
-	if reply.Type != TypeHelloAck {
-		// Old server: the hello bounced (usually as an error envelope for
-		// the hello's own id) and the piggybacked request was never
-		// dispatched. Fall back to the JSON floor on the same connection.
-		if reply.ID == req.ID {
-			return finishPiggyback(reply)
-		}
-		if err := jsonFramer.WriteFrame(conn, req); err != nil {
-			return nil, err
-		}
-		return awaitPiggyback(jsonFramer, conn, req.ID)
-	}
-	chosen, ack, err := resolveAck(reply, codecs)
+	chosen, err := resolveAck(ack, codecs)
 	if err != nil {
 		return nil, err
 	}
-	f := NewFramer(chosen)
-	if !ack.First {
-		// The server negotiates but predates Hello.First: its decoder
-		// dropped the embedded request without a trace, so waiting for its
-		// reply would hang forever. Re-send as an ordinary frame in the
-		// codec just negotiated.
-		if err := f.WriteFrame(conn, req); err != nil {
-			return nil, err
-		}
+	reply, err := NewFramer(chosen).ReadFrame(conn)
+	if err != nil {
+		return nil, err
 	}
-	return awaitPiggyback(f, conn, req.ID)
-}
-
-// awaitPiggyback reads frames until the one correlated to the piggybacked
-// request arrives.
-func awaitPiggyback(f *Framer, conn net.Conn, id uint64) (*Envelope, error) {
-	for {
-		reply, err := f.ReadFrame(conn)
-		if err != nil {
-			return nil, err
-		}
-		if reply.ID != id {
-			continue // e.g. the old server's error bounce for the hello
-		}
-		return finishPiggyback(reply)
+	if reply.ID != req.ID {
+		return nil, fmt.Errorf("wire: piggyback reply carries id %d, want %d", reply.ID, req.ID)
 	}
-}
-
-func finishPiggyback(reply *Envelope) (*Envelope, error) {
 	if reply.Type == TypeError {
 		var e ErrorReply
 		if err := reply.Decode(&e); err != nil {

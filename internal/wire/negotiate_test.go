@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +16,10 @@ import (
 // for a whole test run, so CI can run the entire wire suite once per
 // codec:
 //
-//	go test -race ./internal/wire -wire-default-codec=binary
+//	go test -race ./internal/wire -wire-default-codec=binary2+flate
 //	go test -race ./internal/wire -wire-default-codec=json
 var defaultCodecFlag = flag.String("wire-default-codec", "",
-	"force the default codec preference for this test run: json, binary, binary2, or binary2+flate")
+	"force the default codec preference for this test run: json, binary2, or binary2+flate")
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -25,17 +27,15 @@ func TestMain(m *testing.M) {
 	case "":
 	case "json":
 		defaultCodecs = []Codec{JSON}
-	case "binary":
-		defaultCodecs = []Codec{Binary, JSON}
 	case "binary2":
-		defaultCodecs = []Codec{Binary2, Binary, JSON}
+		defaultCodecs = []Codec{Binary2, JSON}
 	case "binary2+flate":
 		comp, err := Compressed(Binary2, AlgoFlate)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "building binary2+flate: %v\n", err)
 			os.Exit(2)
 		}
-		defaultCodecs = []Codec{comp, Binary2, Binary, JSON}
+		defaultCodecs = []Codec{comp, Binary2, JSON}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -wire-default-codec %q\n", *defaultCodecFlag)
 		os.Exit(2)
@@ -114,16 +114,16 @@ func checkEcho(t *testing.T, c *Client, token string) {
 	}
 }
 
-// TestNegotiateBinary: both ends prefer binary, the connection lands on
-// binary, traffic flows.
+// TestNegotiateBinary: both ends prefer binary2, the connection lands on
+// binary2, traffic flows.
 func TestNegotiateBinary(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary, JSON}})
+	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary2, JSON}})
 	defer stop()
-	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, Codecs: []Codec{Binary, JSON}})
+	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, Codecs: []Codec{Binary2, JSON}})
 	defer c.Close()
 	checkEcho(t, c, "hello-binary")
-	if got := c.CodecName(); got != "binary" {
-		t.Errorf("negotiated %q, want binary", got)
+	if got := c.CodecName(); got != "binary2" {
+		t.Errorf("negotiated %q, want binary2", got)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestNegotiateBinary(t *testing.T) {
 func TestNegotiateJSONOnlyServer(t *testing.T) {
 	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{JSON}})
 	defer stop()
-	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, Codecs: []Codec{Binary, JSON}})
+	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, Codecs: []Codec{Binary2, JSON}})
 	defer c.Close()
 	checkEcho(t, c, "hello-floor")
 	if got := c.CodecName(); got != "json" {
@@ -143,7 +143,7 @@ func TestNegotiateJSONOnlyServer(t *testing.T) {
 // TestNegotiateJSONOnlyClient: a JSON-only client gets JSON from a
 // binary-preferring server.
 func TestNegotiateJSONOnlyClient(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary, JSON}})
+	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary2, JSON}})
 	defer stop()
 	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, Codecs: []Codec{JSON}})
 	defer c.Close()
@@ -153,63 +153,67 @@ func TestNegotiateJSONOnlyClient(t *testing.T) {
 	}
 }
 
-// TestFallbackOldServer is the mixed-fleet acceptance case: a negotiating
-// client against a server that predates codecs (simulated by disabling
-// negotiation, so the hello bounces as an unknown-type error). The client
-// must settle on JSON and every concurrent call must still correlate —
-// this runs under -race in CI.
-func TestFallbackOldServer(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 8, DisableNegotiation: true})
-	defer stop()
-	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, Codecs: []Codec{Binary, JSON}})
-	defer c.Close()
-
-	checkEcho(t, c, "fallback-first")
-	if got := c.CodecName(); got != "json" {
-		t.Fatalf("negotiated %q against an old server, want json", got)
+// startHelloRejecter serves connections that answer the first frame (the
+// hello) with an error envelope and then hang up — a server that does
+// not take part in negotiation.
+func startHelloRejecter(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	const callers, calls = 8, 20
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < calls; i++ {
-				token := fmt.Sprintf("old-server-%d-%d", g, i)
-				reply, err := c.Call("echo", echoPayload{Token: token})
-				if err != nil {
-					t.Errorf("%s: %v", token, err)
-					return
-				}
-				var p echoPayload
-				if err := reply.Decode(&p); err != nil {
-					t.Errorf("%s: %v", token, err)
-					return
-				}
-				if p.Token != token {
-					t.Errorf("got %q, want %q", p.Token, token)
-					return
-				}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
 			}
-		}(g)
-	}
-	wg.Wait()
+			go func() {
+				defer conn.Close()
+				env, err := ReadFrame(conn)
+				if err != nil {
+					return
+				}
+				_ = WriteFrame(conn, ErrorEnvelope(env.ID, fmt.Errorf("unknown message type %q", env.Type)))
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
-// TestFallbackOldClient is the converse: a client that predates codecs
-// (no hello, plain JSON) against a negotiating server. Its first frame is
-// a regular request, which must be served, leaving the connection on
-// JSON.
-func TestFallbackOldClient(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary, JSON}})
-	defer stop()
-	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, DisableNegotiation: true})
+// TestDialFailsOnHelloRejection: a server that answers the hello with an
+// error envelope fails the dial with an error naming the rejection; the
+// client does not settle on JSON behind the server's back.
+func TestDialFailsOnHelloRejection(t *testing.T) {
+	addr := startHelloRejecter(t)
+	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 2 * time.Second})
 	defer c.Close()
-	for i := 0; i < 5; i++ {
-		checkEcho(t, c, fmt.Sprintf("old-client-%d", i))
+	err := c.Connect()
+	if err == nil {
+		t.Fatalf("dial succeeded on %q against a server that rejects the hello", c.CodecName())
 	}
-	if got := c.CodecName(); got != "json" {
-		t.Errorf("old client speaks %q, want json", got)
+	if !errors.Is(err, ErrDial) || !strings.Contains(err.Error(), "rejected hello") {
+		t.Fatalf("err = %v, want an ErrDial naming the hello rejection", err)
+	}
+}
+
+// TestPiggybackFailsOnHelloRejection: the one-shot path fails the same
+// way instead of re-sending the request on JSON.
+func TestPiggybackFailsOnHelloRejection(t *testing.T) {
+	addr := startHelloRejecter(t)
+	conn := dialEcho(t, addr)
+	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	req, err := NewEnvelope("echo", 0, echoPayload{Token: "rejected"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := CallPiggyback(conn, nil, req)
+	if err == nil {
+		t.Fatalf("piggyback succeeded (reply %s) against a server that rejects the hello", reply.Type)
+	}
+	if !strings.Contains(err.Error(), "rejected hello") {
+		t.Fatalf("err = %v, want the hello rejection", err)
 	}
 }
 
@@ -217,8 +221,8 @@ func TestFallbackOldClient(t *testing.T) {
 // so a client that lost its binary connection negotiates binary again on
 // the next one.
 func TestNegotiationSurvivesReconnect(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary, JSON}})
-	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 2 * time.Second, Codecs: []Codec{Binary, JSON}})
+	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary2, JSON}})
+	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 2 * time.Second, Codecs: []Codec{Binary2, JSON}})
 	defer c.Close()
 	checkEcho(t, c, "before-restart")
 	stop()
@@ -236,7 +240,7 @@ func TestNegotiationSurvivesReconnect(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				ServeConnOpts(conn, ServeOptions{Window: 4, Codecs: []Codec{Binary, JSON}}, func(env *Envelope) *Envelope {
+				ServeConnOpts(conn, ServeOptions{Window: 4, Codecs: []Codec{Binary2, JSON}}, func(env *Envelope) *Envelope {
 					var p echoPayload
 					_ = env.Decode(&p)
 					reply, _ := NewEnvelope("echo", env.ID, p)
@@ -256,8 +260,8 @@ func TestNegotiationSurvivesReconnect(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := c.CodecName(); got != "binary" {
-		t.Errorf("reconnected on %q, want binary", got)
+	if got := c.CodecName(); got != "binary2" {
+		t.Errorf("reconnected on %q, want binary2", got)
 	}
 }
 
@@ -266,7 +270,7 @@ func TestNegotiationSurvivesReconnect(t *testing.T) {
 // rejection precedes the wire, so sibling calls and the connection
 // survive.
 func TestOversizedCallIsolationPerCodec(t *testing.T) {
-	for _, name := range []string{"json", "binary", "binary2"} {
+	for _, name := range []string{"json", "binary2", "binary2+flate"} {
 		t.Run(name, func(t *testing.T) {
 			codec, err := CodecByName(name)
 			if err != nil {

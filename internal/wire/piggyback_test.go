@@ -43,9 +43,9 @@ func piggyEcho(t *testing.T, conn net.Conn, codecs []Codec, token string) {
 // reply arrives in the negotiated codec right behind the ack — one round
 // trip total.
 func TestPiggybackNegotiated(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary, JSON}})
+	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary2, JSON}})
 	defer stop()
-	piggyEcho(t, dialEcho(t, addr), []Codec{Binary, JSON}, "piggy-binary")
+	piggyEcho(t, dialEcho(t, addr), []Codec{Binary2, JSON}, "piggy-binary2")
 }
 
 // TestPiggybackJSONOnlyServer: a JSON-only server still serves the
@@ -53,62 +53,7 @@ func TestPiggybackNegotiated(t *testing.T) {
 func TestPiggybackJSONOnlyServer(t *testing.T) {
 	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{JSON}})
 	defer stop()
-	piggyEcho(t, dialEcho(t, addr), []Codec{Binary, JSON}, "piggy-floor")
-}
-
-// TestPiggybackOldServerFallback: a pre-negotiation server bounces the
-// hello without ever seeing the embedded request; the call must resend it
-// on the JSON floor and still succeed.
-func TestPiggybackOldServerFallback(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, DisableNegotiation: true})
-	defer stop()
-	piggyEcho(t, dialEcho(t, addr), nil, "piggy-old-server")
-}
-
-// TestPiggybackFirstUnawareServer: a server that negotiates codecs but
-// predates Hello.First silently drops the embedded request (its JSON
-// decoder ignores the unknown field) and acks without the First echo —
-// the client must detect the missing echo and re-send the request as an
-// ordinary frame in the negotiated codec instead of hanging forever.
-func TestPiggybackFirstUnawareServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan error, 1)
-	go func() {
-		done <- func() error {
-			conn, err := ln.Accept()
-			if err != nil {
-				return err
-			}
-			defer conn.Close()
-			if _, err := ReadFrame(conn); err != nil { // the hello; First dropped
-				return err
-			}
-			bin := NewFramer(Binary)
-			// Ack in the chosen codec with no First echo — the PR 4 shape.
-			ack := &Envelope{Type: TypeHelloAck, Msg: HelloAck{Codec: "binary"}}
-			if err := bin.WriteFrame(conn, ack); err != nil {
-				return err
-			}
-			req, err := bin.ReadFrame(conn) // the client's re-send
-			if err != nil {
-				return err
-			}
-			var p echoPayload
-			if err := req.Decode(&p); err != nil {
-				return err
-			}
-			reply, _ := NewEnvelope("echo", req.ID, p)
-			return bin.WriteFrame(conn, reply)
-		}()
-	}()
-	piggyEcho(t, dialEcho(t, ln.Addr().String()), []Codec{Binary, JSON}, "piggy-first-unaware")
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	piggyEcho(t, dialEcho(t, addr), []Codec{Binary2, JSON}, "piggy-floor")
 }
 
 // TestPiggybackRemoteError: a server-side failure of the piggybacked
@@ -130,11 +75,11 @@ func TestPiggybackRemoteError(t *testing.T) {
 // framed traffic after a piggybacked exchange (the framer is on the
 // negotiated codec on both sides).
 func TestPiggybackAfterFirstFrame(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary, JSON}})
+	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary2, JSON}})
 	defer stop()
 	conn := dialEcho(t, addr)
-	piggyEcho(t, conn, []Codec{Binary, JSON}, "piggy-first")
-	f := NewFramer(Binary)
+	piggyEcho(t, conn, []Codec{Binary2, JSON}, "piggy-first")
+	f := NewFramer(Binary2)
 	env, err := NewEnvelope("echo", 7, echoPayload{Token: "framed-after"})
 	if err != nil {
 		t.Fatal(err)
@@ -159,11 +104,11 @@ func TestPiggybackAfterFirstFrame(t *testing.T) {
 // encoding against the JSON oracle.
 func TestHelloFirstBinaryRoundTrip(t *testing.T) {
 	for _, hello := range []Hello{
-		{Codecs: []string{"binary", "json"}},
+		{Codecs: []string{"binary2", "json"}},
 		{Codecs: []string{"json"}, First: &HelloFirst{Type: "query", ID: 42, Payload: []byte(`{"text":"q"}`)}},
 		{Codecs: nil, First: &HelloFirst{Type: "ping", ID: 1}},
 	} {
-		for _, codec := range []Codec{JSON, Binary} {
+		for _, codec := range []Codec{JSON, Binary2} {
 			env := &Envelope{Type: TypeHello, ID: 3, Msg: hello}
 			body, err := codec.AppendEnvelope(nil, env)
 			if err != nil {

@@ -159,8 +159,7 @@ func (s *ClientStream) Recv(ctx context.Context) (*Envelope, error) {
 }
 
 // Close deregisters the stream and tells the server to stop sending
-// (best effort; a server that predates streams bounces the cancel as an
-// unknown type, which nothing is left listening for).
+// (best effort: the connection may already be gone).
 func (s *ClientStream) Close() error {
 	c := s.c
 	c.mu.Lock()

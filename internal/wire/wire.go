@@ -3,9 +3,9 @@
 // to the next via TCP or UDP", Section 6). Frames are 4-byte big-endian
 // length-prefixed envelope bodies; each envelope carries a message type, a
 // correlation id, and a typed payload. The body encoding is pluggable: a
-// Codec (JSON or the compact binary format) is negotiated per connection
-// by the hello/hello-ack handshake, and peers that never negotiate — old
-// builds, UDP datagrams — speak JSON, the compatibility floor.
+// Codec (the compact binary2 format or JSON) is negotiated per connection
+// by the hello/hello-ack handshake, and UDP datagrams, which carry no
+// negotiation state, speak JSON.
 package wire
 
 import (
@@ -48,10 +48,7 @@ const (
 	// stream and the server then sends watch-events frames carrying the
 	// subscribe envelope's id for as long as the subscription lives.
 	// Like "busy" and "select", both types travel via the inline-string
-	// envelope escape on binary connections, so an old peer decodes the
-	// envelope fine and bounces the unknown type as an ordinary error
-	// reply — which is exactly how a subscriber detects a pre-watch peer
-	// and degrades to the poll fallback.
+	// envelope escape on binary connections.
 	TypeWatch        = "watch"         // WatchRequest -> WatchEvents stream (first frame acks)
 	TypeWatchEvents  = "watch-events"  // server->client stream frame
 	TypeStreamCancel = "stream-cancel" // client->server: stop the stream with this id
@@ -66,10 +63,8 @@ const (
 // requesting account or group (the admission-bucket key) and Deadline is
 // the caller's absolute deadline in UnixNano (0 = none; work whose
 // deadline has passed is shed with a Busy reply instead of dispatched).
-// Both are optional JSON fields, so old JSON peers ignore them silently;
-// the v1 binary codec has no room for them and drops both, which is why
-// deadline-aware peers negotiate the "binary2" codec and fall back to
-// no-deadline behaviour against older builds.
+// Both are optional: JSON omits them when unset, and binary2 flags their
+// presence in its envelope header.
 type Envelope struct {
 	Type     string          `json:"type"`
 	ID       uint64          `json:"id"`
@@ -124,15 +119,9 @@ type HelloFirst struct {
 }
 
 // HelloAck is the server's answer: the codec it picked, encoded in that
-// codec (the client sniffs the body's first byte to read it). First
-// echoes that a piggybacked first request was accepted for dispatch; a
-// First-carrying client that gets an ack without it is talking to a
-// server that negotiates but predates Hello.First (whose JSON decoder
-// silently dropped the field), and must re-send the request as an
-// ordinary frame instead of waiting for a reply that will never come.
+// codec (the client sniffs the body's first byte to read it).
 type HelloAck struct {
 	Codec string `json:"codec"`
-	First bool   `json:"first,omitempty"`
 }
 
 // QueryRequest submits a (possibly composite) query in a named language.
@@ -190,9 +179,7 @@ type SpawnPoolReply struct {
 // SelectRequest asks the registry endpoint for the machine records
 // matching a basic query — the record-batch building block for resync,
 // white-pages delegation, and fleet inspection. Like "busy", "select"
-// travels via the inline-string envelope escape: an old binary peer
-// decodes the envelope fine and bounces the unknown type as an ordinary
-// error reply, so mixed fleets stay healthy.
+// travels via the inline-string envelope escape.
 type SelectRequest struct {
 	// Text is the basic query in the native language; "" selects every
 	// record.
@@ -203,10 +190,7 @@ type SelectRequest struct {
 	// Offset skips that many matching records (in the registry's sorted
 	// name order) before Limit applies, so a fleet whose full record
 	// batch would exceed MaxFrame is fetched in pages. Encoded on binary
-	// connections as an optional trailing field only when non-zero: an
-	// old peer decodes an offset-less first page fine and bounces a
-	// paged request as a decode error — which only arises against
-	// fleets too large for that peer to serve in one frame anyway.
+	// connections as an optional trailing field only when non-zero.
 	Offset int `json:"offset,omitempty"`
 	// Full pins the reply's record batch to the full per-record encoding
 	// instead of the delta batch — the on-wire differential oracle, and
@@ -233,8 +217,8 @@ type RecordSet struct {
 	Full bool
 }
 
-// MarshalJSON encodes just the machine array, so JSON peers (including
-// pre-select builds inspecting frames) see a plain record list.
+// MarshalJSON encodes just the machine array, so JSON peers see a plain
+// record list.
 func (r RecordSet) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Machines)
 }
@@ -263,8 +247,7 @@ type WatchRequest struct {
 // assignments and rendezvous node set it routes by, plus — when Domains
 // is set — the resolved owner of each named domain. Like "select", the
 // type travels via the inline-string envelope escape on binary
-// connections, so a pre-partition peer decodes the envelope fine and
-// bounces the unknown type as an ordinary error reply.
+// connections.
 type RouteRequest struct {
 	Domains []string `json:"domains,omitempty"`
 }

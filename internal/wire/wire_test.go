@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"actyp/internal/metrics"
 	"actyp/internal/pool"
 )
 
@@ -174,5 +175,36 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// snapshotWriter records the sender's wire stats at the moment each
+// frame's bytes reach the transport — the earliest point a peer could
+// read the frame.
+type snapshotWriter struct {
+	stats *metrics.WireStats
+	seen  []metrics.WireCounts
+}
+
+func (w *snapshotWriter) Write(p []byte) (int, error) {
+	w.seen = append(w.seen, w.stats.Snapshot()[Binary2.Name()])
+	return len(p), nil
+}
+
+// TestWriteFrameCountsBeforeWrite: once a frame's bytes are on the
+// transport, the sender's WireStats already include it, so a peer that
+// has read a reply never sees a sender whose counters lag behind it.
+func TestWriteFrameCountsBeforeWrite(t *testing.T) {
+	stats := metrics.NewWireStats()
+	framer := NewFramerStats(Binary2, stats)
+	w := &snapshotWriter{stats: stats}
+	for i := 1; i <= 3; i++ {
+		if err := framer.WriteFrame(w, &Envelope{Type: TypePing, ID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		got := w.seen[i-1]
+		if got.FramesOut != int64(i) || got.BytesOut == 0 {
+			t.Fatalf("frame %d: stats at write time = %+v, want %d frames out", i, got, i)
+		}
 	}
 }
